@@ -60,10 +60,9 @@ class Host
     /**
      * Executes a program.  Loops that bender::lint certifies as
      * constant-duration hammer kernels (lint::certifyHammerLoop) run
-     * through the device's bulk fast path — bit-exact batched replay
-     * (FastPathMode::Exact, the default) or analytic aggregate-dose
-     * sampling (Analytic); FastPathMode::Off and all uncertified
-     * loops execute slot by slot.  The mode comes from the
+     * through the device's bit-exact batched fast path
+     * (FastPathMode::Exact, the default); FastPathMode::Off and all
+     * uncertified loops execute slot by slot.  The mode comes from the
      * DRAMSCOPE_FASTPATH environment variable at construction and
      * can be overridden with setFastPathMode().
      *

@@ -87,13 +87,6 @@ class Chip final : public Device
     void actMany(const ActTrain &train) override;
 
     /**
-     * Bulk hammering fast path, analytic: same FSM/violation/stats
-     * replay, but the disturbance dose commits immediately through
-     * Bank::applyAggregateDose (sampled for large trains).
-     */
-    void actManyAnalytic(const ActTrain &train) override;
-
-    /**
      * In-DRAM RFM/DRFM primitive: restores the AIB neighbours of
      * @p logical_row — translated through the internal remap — and,
      * when the chip couples rows, of its coupled partner too.
@@ -163,9 +156,6 @@ class Chip final : public Device
 
     /** Per-iteration act()/pre() replay (exact fallback). */
     void replayTrain(const ActTrain &train);
-
-    /** Shared exact/analytic batched train implementation. */
-    void runTrain(const ActTrain &train, bool analytic);
 
     DeviceConfig cfg_;
     std::unique_ptr<SubarrayMap> map_;

@@ -2,9 +2,15 @@
  * @file
  * Device-interface tests: the same command surface (act/pre/rd/wr/
  * ref/actMany/violations/refreshAggressorNeighbors) driven against
- * the Chip, Dimm and HbmStack backends, and the cross-backend
- * equivalences the abstraction promises.
+ * the Chip, Dimm and HbmStack backends, the cross-backend
+ * equivalences the abstraction promises, and the fast-path mode
+ * registry.
  */
+
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -176,6 +182,45 @@ TEST(DeviceHbm, ConstChannelAccess)
 {
     const dram::HbmStack stack(testutil::tinyPlain(), 2);
     EXPECT_EQ(stack.channel(1).config().name, "tiny-plain/ch1");
+}
+
+TEST(FastPathModeRegistry, KeywordsAreOffAndExact)
+{
+    using dram::FastPathMode;
+    EXPECT_EQ(dram::fastPathModeFromString("off"), FastPathMode::Off);
+    EXPECT_EQ(dram::fastPathModeFromString("exact"), FastPathMode::Exact);
+    EXPECT_EQ(dram::fastPathModeKeywords(), "off|exact");
+}
+
+TEST(FastPathModeRegistry, RemovedAnalyticKeywordIsRejected)
+{
+    EXPECT_EQ(dram::fastPathModeFromString("analytic"), std::nullopt);
+}
+
+TEST(FastPathModeRegistryDeathTest, UnknownEnvValueWarnsOnceAndRunsExact)
+{
+    // A fresh process, so the once-per-process warning has not fired.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setenv("DRAMSCOPE_FASTPATH", "analytic", 1);
+            testing::internal::CaptureStderr();
+            bool exact = true;
+            for (int i = 0; i < 3; ++i) {
+                exact = exact && dram::fastPathModeFromEnv() ==
+                                     dram::FastPathMode::Exact;
+            }
+            const std::string err = testing::internal::GetCapturedStderr();
+            size_t warnings = 0;
+            for (size_t at = err.find("warn:"); at != std::string::npos;
+                 at = err.find("warn:", at + 1))
+                ++warnings;
+            std::fprintf(stderr, "exact=%d warnings=%zu %s", int(exact),
+                         warnings, err.c_str());
+            std::exit(0);
+        },
+        testing::ExitedWithCode(0),
+        "exact=1 warnings=1 warn: DRAMSCOPE_FASTPATH=analytic .*off[|]exact");
 }
 
 } // namespace

@@ -112,7 +112,7 @@ struct Flags
                              //!< command trace to write).
     std::string device;      //!< --device=chip|dimm|hbm[:N].
     std::string faults;      //!< --faults=SPEC (fault injection).
-    std::string fastpath;    //!< --fastpath=off|exact|analytic.
+    std::string fastpath;    //!< --fastpath=<mode keyword>.
     std::string checkpoint;  //!< --checkpoint=FILE (shard journal).
     std::string workload;    //!< --workload=streaming|chase|zipfian.
     std::string policy;      //!< --policy=open|closed|timeout|cap.
@@ -285,10 +285,9 @@ applyFastPath(bender::Host &host, const Flags &flags)
         return;
     const auto mode = dram::fastPathModeFromString(flags.fastpath);
     if (!mode) {
-        std::fprintf(stderr,
-                     "error: unknown --fastpath '%s' "
-                     "(off|exact|analytic)\n",
-                     flags.fastpath.c_str());
+        std::fprintf(stderr, "error: unknown --fastpath '%s' (%s)\n",
+                     flags.fastpath.c_str(),
+                     dram::fastPathModeKeywords().c_str());
         std::exit(2);
     }
     host.setFastPathMode(*mode);
@@ -325,9 +324,15 @@ usage()
         "  --device=chip|dimm|hbm[:channel]   backend (default chip; "
         "sweep/mcsweep: chip|dimm)\n"
         "  --faults=SPEC                      fault injection (see "
-        "docs/RESILIENCE.md)\n"
-        "  --fastpath=off|exact|analytic      loop engine (default "
-        "from DRAMSCOPE_FASTPATH, else exact)\n"
+        "docs/RESILIENCE.md)\n");
+    const std::string fastpath_flag =
+        "--fastpath=" + dram::fastPathModeKeywords();
+    std::fprintf(stderr,
+                 "  %-35sloop engine (default from DRAMSCOPE_FASTPATH, "
+                 "else exact)\n",
+                 fastpath_flag.c_str());
+    std::fprintf(
+        stderr,
         "sweep/mcsweep accept --jobs=N --seed=S --retries=K "
         "--timeout-ms=T --checkpoint=FILE --resume\n"
         "mc accepts --workload=streaming|chase|zipfian "
