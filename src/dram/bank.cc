@@ -6,6 +6,7 @@
 #include "dram/bank.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -28,6 +29,33 @@ cellKey(BankId bank, RowAddr row, BitlineIdx bl, uint64_t salt)
     return hashCombine(hashCombine(uint64_t(bank) << 32 | row, bl), salt);
 }
 
+/**
+ * The ±2-bit neighbourhood of the 64 cells in word @p wi of @p row:
+ * bit b of m2, m1, c, p1 and p2 holds bitline 64 wi + b offset by
+ * -2, -1, 0, +1 and +2.  Offsets past either row end read 0, and a
+ * null row (never materialized, so discharged) reads all 0.
+ */
+struct Window
+{
+    uint64_t m2 = 0, m1 = 0, c = 0, p1 = 0, p2 = 0;
+};
+
+Window
+windowAt(const BitVec *row, size_t wi)
+{
+    Window w;
+    if (!row)
+        return w;
+    const uint64_t lo = wi > 0 ? row->word(wi - 1) : 0;
+    const uint64_t hi = (wi + 1) * 64 < row->size() ? row->word(wi + 1) : 0;
+    w.c = row->word(wi);
+    w.m1 = w.c << 1 | lo >> 63;
+    w.m2 = w.c << 2 | lo >> 62;
+    w.p1 = w.c >> 1 | hi << 63;
+    w.p2 = w.c >> 2 | hi << 62;
+    return w;
+}
+
 } // namespace
 
 Bank::Bank(const DeviceConfig &cfg, const SubarrayMap &map, BankId id)
@@ -36,6 +64,17 @@ Bank::Bank(const DeviceConfig &cfg, const SubarrayMap &map, BankId id)
     const auto &dp = cfg_.disturb;
     tempDoseScale_ = std::exp2((cfg_.temperatureC - dp.referenceTempC) /
                                dp.tempDoubleC);
+    for (int v = 0; v < 2; ++v) {
+        vicSide_[0][v] = std::sqrt(dp.vicDist1Opposite[v]);
+        vicSide_[1][v] = std::sqrt(dp.vicDist2Opposite[v]);
+        aggrSide_[0][v] = std::sqrt(dp.aggr1Same[v]);
+        aggrSide_[1][v] = std::sqrt(dp.aggr2Same[v]);
+    }
+    const auto &rp = cfg_.retention;
+    const double median_ms =
+        rp.medianRetentionMs *
+        std::exp2((dp.referenceTempC - cfg_.temperatureC) / rp.tempHalveC);
+    retentionMu_ = std::log(median_ms * 1.0e6);
 }
 
 RowState &
@@ -66,82 +105,9 @@ Bank::threshold(RowAddr row, BitlineIdx bl, AibMechanism mech) const
 double
 Bank::retentionNs(RowAddr row, BitlineIdx bl) const
 {
-    const auto &rp = cfg_.retention;
-    const double median_ms =
-        rp.medianRetentionMs *
-        std::exp2((cfg_.disturb.referenceTempC - cfg_.temperatureC) /
-                  rp.tempHalveC);
-    const double mu = std::log(median_ms * 1.0e6);
     return hashLognormal(cfg_.variationSeed,
-                         cellKey(id_, row, bl, kSaltRetention), mu,
-                         rp.sigmaLog);
-}
-
-double
-Bank::patternFactor(const BitVec &vic, const BitVec *aggr, BitlineIdx bl,
-                    bool victim_charged) const
-{
-    const auto &dp = cfg_.disturb;
-    const int v = victim_charged ? 1 : 0;
-    const size_t n = vic.size();
-    double f = 1.0;
-
-    // Peripheral circuits (local row decoders, sub-WL drivers)
-    // isolate MATs from each other, so horizontal influence never
-    // crosses a MAT boundary (SS IV-A).
-    const uint32_t mat = bl / cfg_.matWidth;
-    auto same_mat = [&](size_t idx) {
-        return idx / cfg_.matWidth == mat;
-    };
-
-    // Horizontally adjacent victim cells holding the opposite value
-    // strengthen the disturbance, distance two more than distance one
-    // (O11).  Per-side sqrt so both sides give the full paper factor.
-    const double d_factor[2] = {dp.vicDist1Opposite[v],
-                                dp.vicDist2Opposite[v]};
-    for (int d = 1; d <= 2; ++d) {
-        const double side = std::sqrt(d_factor[d - 1]);
-        if (bl >= BitlineIdx(d) && same_mat(bl - d) &&
-            vic.get(bl - d) != victim_charged) {
-            f *= side;
-        }
-        if (bl + d < n && same_mat(bl + d) &&
-            vic.get(bl + d) != victim_charged) {
-            f *= side;
-        }
-    }
-
-    // Aggressor cells matching the victim value weaken the
-    // disturbance, strongest for the directly adjacent cell (O12).
-    // For the offset cells the suppression needs the aggressor and
-    // victim cells at that offset to *jointly* hold the victim's
-    // charge state — a local charge environment that absorbs the
-    // migrating electrons.  This reproduces Figure 14b (solid victim:
-    // the joint condition reduces to the aggressor cell's value),
-    // keeps O13's solid-opposite aggressor unsuppressed, and lets the
-    // vertically-complementary 0x33/0xCC pattern reach the worst-case
-    // BER of Figure 16 instead of being suppressed.
-    auto aggr_bit = [&](size_t idx) {
-        return aggr ? aggr->get(idx) : false;
-    };
-    if (aggr_bit(bl) == victim_charged)
-        f *= dp.aggr0Same[v];
-    const double a_factor[2] = {dp.aggr1Same[v], dp.aggr2Same[v]};
-    for (int d = 1; d <= 2; ++d) {
-        const double side = std::sqrt(a_factor[d - 1]);
-        if (bl >= BitlineIdx(d) && same_mat(bl - d) &&
-            aggr_bit(bl - d) == victim_charged &&
-            vic.get(bl - d) == victim_charged) {
-            f *= side;
-        }
-        if (bl + d < n && same_mat(bl + d) &&
-            aggr_bit(bl + d) == victim_charged &&
-            vic.get(bl + d) == victim_charged) {
-            f *= side;
-        }
-    }
-
-    return f;
+                         cellKey(id_, row, bl, kSaltRetention), retentionMu_,
+                         cfg_.retention.sigmaLog);
 }
 
 void
@@ -170,10 +136,14 @@ Bank::commitDisturb(RowAddr row, RowState &rs)
 
     const bool in_edge = map_.inEdgeSubarray(row);
 
+    const bool pending[2] = {
+        rs.pendHammer[0] != 0.0 || rs.pendPressNs[0] != 0.0,
+        rs.pendHammer[1] != 0.0 || rs.pendPressNs[1] != 0.0};
+
     // Aggressor row charge, per direction (nullptr = all discharged).
     const BitVec *aggr[2] = {nullptr, nullptr};
     for (int dir = 0; dir < 2; ++dir) {
-        if (rs.pendHammer[dir] == 0.0 && rs.pendPressNs[dir] == 0.0)
+        if (!pending[dir])
             continue;
         const auto nb = map_.neighbor(row, dir == 1);
         panicIf(!nb, "commitDisturb: pending dose without a neighbour");
@@ -187,50 +157,131 @@ Bank::commitDisturb(RowAddr row, RowState &rs)
     // let an early flip distort the pattern factors of later cells.
     const BitVec before = rs.charge;
     const size_t n = before.size();
-    for (BitlineIdx bl = 0; bl < n; ++bl) {
-        const bool charged = before.get(bl);
-        double dose_h = 0.0;
-        double dose_p = 0.0;
+    const uint32_t mw = cfg_.matWidth;
+    const double base_h[2] = {rs.pendHammer[0] * dp.hammerBase,
+                              rs.pendHammer[1] * dp.hammerBase};
+    const double base_p[2] = {rs.pendPressNs[0] * dp.pressBase,
+                              rs.pendPressNs[1] * dp.pressBase};
+    // Edge subarrays scale the dose by the charge of the directly
+    // adjacent aggressor cell; indexed by that cell's bit (O6).
+    const double edge[2] = {
+        in_edge ? dp.edgeFactorAggrDischarged : 1.0,
+        in_edge ? dp.edgeFactorAggrCharged : 1.0};
+
+    uint32_t mat_pos = 0;  // bl % matWidth.
+    for (size_t wi = 0; wi * 64 < n; ++wi) {
+        // Per-word masks, offsets in the order -1, +1, -2, +2.  opp:
+        // the victim neighbour holds the opposite value.  same: the
+        // aggressor cell (same0) or the aggressor and victim cells at
+        // the offset (same) hold the victim's value.
+        const Window vic = windowAt(&before, wi);
+        const uint64_t opp[4] = {vic.m1 ^ vic.c, vic.p1 ^ vic.c,
+                                 vic.m2 ^ vic.c, vic.p2 ^ vic.c};
+        uint64_t aggr_c[2] = {0, 0};
+        uint64_t same0[2] = {0, 0};
+        uint64_t same[2][4] = {};
         for (int dir = 0; dir < 2; ++dir) {
-            if (rs.pendHammer[dir] == 0.0 && rs.pendPressNs[dir] == 0.0)
+            if (!pending[dir])
                 continue;
-            const GateType gate = gateType(row, bl, dir == 1);
-
-            // RowHammer: a charged victim is susceptible through its
-            // neighboring gate, a discharged one through its passing
-            // gate; the off gate keeps a small leak (O8/O9/O10).
-            const GateType h_gate = charged ? GateType::Neighboring
-                                            : GateType::Passing;
-            const double h_gate_f =
-                gate == h_gate ? 1.0 : dp.offGateLeak;
-
-            // RowPress: only charged victims flip, through the
-            // opposite gate relation to RowHammer (O7, footnote 7).
-            double p_gate_f = 0.0;
-            if (charged) {
-                p_gate_f =
-                    gate == GateType::Passing ? 1.0 : dp.offGateLeak;
-            }
-
-            double pat = patternFactor(before, aggr[dir], bl, charged);
-            if (in_edge) {
-                const bool a0 =
-                    aggr[dir] ? aggr[dir]->get(bl) : false;
-                pat *= a0 ? dp.edgeFactorAggrCharged
-                          : dp.edgeFactorAggrDischarged;
-            }
-            pat *= tempDoseScale_;
-
-            dose_h += rs.pendHammer[dir] * dp.hammerBase * h_gate_f * pat;
-            dose_p += rs.pendPressNs[dir] * dp.pressBase * p_gate_f * pat;
+            const Window ag = windowAt(aggr[dir], wi);
+            aggr_c[dir] = ag.c;
+            same0[dir] = ~(ag.c ^ vic.c);
+            same[dir][0] = ~(ag.m1 ^ vic.c) & ~opp[0];
+            same[dir][1] = ~(ag.p1 ^ vic.c) & ~opp[1];
+            same[dir][2] = ~(ag.m2 ^ vic.c) & ~opp[2];
+            same[dir][3] = ~(ag.p2 ^ vic.c) & ~opp[3];
         }
-        const bool flip_h =
-            dose_h >= threshold(row, bl, AibMechanism::RowHammer);
-        const bool flip_p =
-            dose_p >= threshold(row, bl, AibMechanism::RowPress);
-        if (flip_h || flip_p) {
-            rs.charge.flip(bl);
-            ++stats_.disturbFlips;
+
+        const size_t bits = std::min<size_t>(64, n - wi * 64);
+        for (size_t b = 0; b < bits;
+             ++b, mat_pos = mat_pos + 1 == mw ? 0 : mat_pos + 1) {
+            const BitlineIdx bl = BitlineIdx(wi * 64 + b);
+            auto bit = [b](uint64_t m) { return ((m >> b) & 1) != 0; };
+            const int v = bit(vic.c) ? 1 : 0;
+            const bool charged = v == 1;
+
+            // Peripheral circuits (local row decoders, sub-WL drivers)
+            // isolate MATs from each other, so horizontal influence
+            // never crosses a MAT boundary (SS IV-A) or the row end.
+            const bool in[4] = {mat_pos >= 1,
+                                mat_pos + 1 < mw && bl + 1 < n,
+                                mat_pos >= 2,
+                                mat_pos + 2 < mw && bl + 2 < n};
+
+            // Horizontally adjacent victim cells holding the opposite
+            // value strengthen the disturbance, distance two more than
+            // distance one (O11).  Per-side sqrt so both sides give
+            // the full paper factor.  Every factor is k or exactly
+            // 1.0, multiplied in a fixed order, so the product is the
+            // same double as multiplying the applicable factors alone.
+            double f_vic = 1.0;
+            f_vic *= in[0] && bit(opp[0]) ? vicSide_[0][v] : 1.0;
+            f_vic *= in[1] && bit(opp[1]) ? vicSide_[0][v] : 1.0;
+            f_vic *= in[2] && bit(opp[2]) ? vicSide_[1][v] : 1.0;
+            f_vic *= in[3] && bit(opp[3]) ? vicSide_[1][v] : 1.0;
+
+            double dose_h = 0.0;
+            double dose_p = 0.0;
+            for (int dir = 0; dir < 2; ++dir) {
+                if (!pending[dir])
+                    continue;
+                const GateType gate = gateType(row, bl, dir == 1);
+
+                // RowHammer: a charged victim is susceptible through
+                // its neighboring gate, a discharged one through its
+                // passing gate; the off gate keeps a small leak
+                // (O8/O9/O10).
+                const GateType h_gate = charged ? GateType::Neighboring
+                                                : GateType::Passing;
+                const double h_gate_f =
+                    gate == h_gate ? 1.0 : dp.offGateLeak;
+
+                // RowPress: only charged victims flip, through the
+                // opposite gate relation to RowHammer (O7, footnote 7).
+                double p_gate_f = 0.0;
+                if (charged) {
+                    p_gate_f =
+                        gate == GateType::Passing ? 1.0 : dp.offGateLeak;
+                }
+
+                // Aggressor cells matching the victim value weaken the
+                // disturbance, strongest for the directly adjacent
+                // cell (O12).  For the offset cells the suppression
+                // needs the aggressor and victim cells at that offset
+                // to *jointly* hold the victim's charge state — a
+                // local charge environment that absorbs the migrating
+                // electrons.  This reproduces Figure 14b (solid
+                // victim: the joint condition reduces to the aggressor
+                // cell's value), keeps O13's solid-opposite aggressor
+                // unsuppressed, and lets the vertically-complementary
+                // 0x33/0xCC pattern reach the worst-case BER of
+                // Figure 16 instead of being suppressed.
+                const uint64_t *sm = same[dir];
+                double pat = f_vic;
+                pat *= bit(same0[dir]) ? dp.aggr0Same[v] : 1.0;
+                pat *= in[0] && bit(sm[0]) ? aggrSide_[0][v] : 1.0;
+                pat *= in[1] && bit(sm[1]) ? aggrSide_[0][v] : 1.0;
+                pat *= in[2] && bit(sm[2]) ? aggrSide_[1][v] : 1.0;
+                pat *= in[3] && bit(sm[3]) ? aggrSide_[1][v] : 1.0;
+                pat *= edge[bit(aggr_c[dir]) ? 1 : 0];
+                pat *= tempDoseScale_;
+
+                dose_h += base_h[dir] * h_gate_f * pat;
+                dose_p += base_p[dir] * p_gate_f * pat;
+            }
+            // A threshold is never below thresholdMin, so a smaller
+            // dose cannot flip the cell and its threshold is not
+            // hashed; nor is RowPress's once RowHammer flipped it.
+            bool flip = dose_h >= dp.thresholdMin &&
+                        dose_h >= threshold(row, bl, AibMechanism::RowHammer);
+            if (!flip) {
+                flip = dose_p >= dp.thresholdMin &&
+                       dose_p >= threshold(row, bl, AibMechanism::RowPress);
+            }
+            if (flip) {
+                rs.charge.flip(bl);
+                ++stats_.disturbFlips;
+            }
         }
     }
     rs.pendHammer[0] = rs.pendHammer[1] = 0.0;
@@ -249,13 +300,14 @@ Bank::commitRetention(RowAddr row, RowState &rs, NanoTime now)
     if (double(now - rs.lastRetentionScanNs) < min_ns)
         return;
     rs.lastRetentionScanNs = now;
-    const size_t n = rs.charge.size();
-    for (BitlineIdx bl = 0; bl < n; ++bl) {
-        if (!rs.charge.get(bl))
-            continue;  // Leakage only discharges.
-        if (retentionNs(row, bl) < elapsed_ns) {
-            rs.charge.set(bl, false);
-            ++stats_.retentionFlips;
+    for (size_t wi = 0; wi * 64 < rs.charge.size(); ++wi) {
+        // Leakage only discharges: visit the charged cells alone.
+        for (uint64_t w = rs.charge.word(wi); w != 0; w &= w - 1) {
+            const BitlineIdx bl = BitlineIdx(wi * 64 + std::countr_zero(w));
+            if (retentionNs(row, bl) < elapsed_ns) {
+                rs.charge.set(bl, false);
+                ++stats_.retentionFlips;
+            }
         }
     }
 }

@@ -171,11 +171,10 @@ class Bank
     /** Commits disturbance flips of @p rs and clears pending. */
     void commitDisturb(RowAddr row, RowState &rs);
 
-    /** Per-cell disturbance dose factors common to both mechanisms. */
-    double patternFactor(const BitVec &vic, const BitVec *aggr,
-                         BitlineIdx bl, bool victim_charged) const;
-
-    /** Uniform per-cell flip threshold for a mechanism. */
+    /**
+     * Uniform per-cell flip threshold for a mechanism; never below
+     * DisturbParams::thresholdMin (DeviceConfig::validate).
+     */
     double threshold(RowAddr row, BitlineIdx bl,
                      AibMechanism mech) const;
 
@@ -188,6 +187,16 @@ class Bank
     std::unordered_map<RowAddr, RowState> rows_;
     BankStats stats_;
     double tempDoseScale_ = 1.0;  //!< Precomputed temperature factor.
+
+    /**
+     * Per-side pattern factors, [distance - 1][victim value]:
+     * sqrt(vicDist{1,2}Opposite) and sqrt(aggr{1,2}Same).
+     */
+    double vicSide_[2][2] = {};
+    double aggrSide_[2][2] = {};
+
+    /** Log-median retention (ln ns) at the configured temperature. */
+    double retentionMu_ = 0.0;
 };
 
 } // namespace dram

@@ -52,6 +52,12 @@ DeviceConfig::validate() const
                 name + ": coupled distance must be rowsPerBank / 2");
     }
     fatalIf(rowBits % 64 != 0, name + ": rowBits must be 64-bit aligned");
+    // Bank::commitDisturb skips a cell's threshold hash when its dose
+    // is below thresholdMin, and lint::certify takes it as the
+    // exposure floor: both need it to be the least threshold.
+    fatalIf(!(disturb.thresholdMin > 0.0 &&
+              disturb.thresholdMin <= disturb.thresholdMax),
+            name + ": need 0 < thresholdMin <= thresholdMax");
 }
 
 namespace {

@@ -55,6 +55,8 @@ struct DisturbParams
      * modern chips.  The range is deliberately compressed relative to
      * silicon so that single-refresh-window attacks (at most ~1.2M
      * ACTs in 64ms) produce measurable differential signals.
+     * DeviceConfig::validate requires 0 < thresholdMin <= thresholdMax,
+     * so thresholdMin is the least threshold of any cell.
      */
     double thresholdMin = 8.0e3;
     double thresholdMax = 2.0e6;

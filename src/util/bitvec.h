@@ -47,6 +47,17 @@ class BitVec
         return (words_[i >> 6] >> (i & 63)) & 1ULL;
     }
 
+    /**
+     * Reads packed word @p wi: bits [64 wi, 64 wi + 64), bit 0 first.
+     * Bits of the last word beyond size() read as 0.
+     */
+    uint64_t
+    word(size_t wi) const
+    {
+        panicIf(wi >= words_.size(), "BitVec::word out of range");
+        return words_[wi];
+    }
+
     /** Writes bit @p i. */
     void
     set(size_t i, bool value)

@@ -46,6 +46,20 @@ TEST(BitVec, TailBitsDontLeak)
     EXPECT_EQ(v.popcount(), 0u);
 }
 
+TEST(BitVec, WordReadsPackedBitsAndTrimmedTail)
+{
+    // 70 bits: one full word and a 6-bit tail word.
+    BitVec v(70, true);
+    EXPECT_EQ(v.word(0), ~0ULL);
+    EXPECT_EQ(v.word(1), 0x3fULL);  // Bits past size() read 0.
+    v.flip(1);
+    v.flip(65);
+    EXPECT_EQ(v.word(0), ~0ULL ^ 0x2ULL);
+    EXPECT_EQ(v.word(1), 0x3dULL);
+    EXPECT_EQ(v.inverted().word(1), 0x02ULL);
+    EXPECT_DEATH(v.word(2), "out of range");
+}
+
 TEST(BitVec, FillPattern)
 {
     BitVec v(16);

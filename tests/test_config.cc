@@ -112,6 +112,23 @@ TEST(Config, GeometryDerivedQuantities)
     EXPECT_EQ(b.groupBits(), 8u);
 }
 
+TEST(ConfigDeathTest, ThresholdRangeMustStartAboveZero)
+{
+    // Thresholds are uniform on [thresholdMin, thresholdMax]; the
+    // bank's threshold-floor skip needs a non-empty, positive range.
+    DeviceConfig inverted = makeTinyConfig();
+    inverted.disturb.thresholdMax = inverted.disturb.thresholdMin / 2;
+    EXPECT_DEATH(inverted.validate(), "thresholdMin");
+
+    DeviceConfig zero = makeTinyConfig();
+    zero.disturb.thresholdMin = 0.0;
+    EXPECT_DEATH(zero.validate(), "thresholdMin");
+
+    DeviceConfig point = makeTinyConfig();
+    point.disturb.thresholdMax = point.disturb.thresholdMin;
+    point.validate();  // A single threshold value is a valid range.
+}
+
 TEST(Config, TinyConfigIsStructurallyFaithful)
 {
     const DeviceConfig cfg = makeTinyConfig();
@@ -124,8 +141,9 @@ TEST(Config, CoupledDistanceIsHalfTheBank)
 {
     for (const auto &id : presetIds()) {
         const DeviceConfig cfg = makePreset(id);
-        if (cfg.coupledRowDistance)
+        if (cfg.coupledRowDistance) {
             EXPECT_EQ(*cfg.coupledRowDistance, cfg.rowsPerBank / 2) << id;
+        }
     }
 }
 
