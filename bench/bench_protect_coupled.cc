@@ -6,13 +6,13 @@
  */
 
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "bender/host.h"
-#include "core/protect/drfm.h"
-#include "core/protect/rfm.h"
-#include "core/protect/rowswap.h"
-#include "core/protect/tracker.h"
+#include "core/protect/mitigation.h"
 #include "dram/chip.h"
 #include "util/table.h"
 
@@ -22,9 +22,17 @@ namespace {
 
 constexpr uint64_t kThreshold = 6000;
 
+/**
+ * One attack against one defense: per coupled pair, @p aggrActs on
+ * row A and then @p partnerActs on its partner B = A ^ distance, both
+ * through the defense.
+ */
 struct Scenario
 {
     std::string name;
+    std::unique_ptr<core::Mitigation> defense;
+    uint64_t aggrActs = 0;
+    uint64_t partnerActs = 0;
     uint64_t mitigations = 0;
     size_t flips = 0;
 };
@@ -57,6 +65,21 @@ armVictims(bender::Host &host, dram::RowAddr aggr, uint32_t distance)
     host.writeRowPattern(0, aggr ^ distance, 0);
 }
 
+/**
+ * Mitigations the defense issued: tracker firings for Graphene (a
+ * coupled-aware firing covers both rows of the pair once), commands
+ * issued for every other kind.
+ */
+uint64_t
+mitigationsIssued(const core::Mitigation &mit)
+{
+    if (mit.kind() == core::MitigationKind::Graphene)
+        return static_cast<const core::GrapheneMitigation &>(mit)
+            .tracker(0)
+            .mitigations();
+    return mit.fired();
+}
+
 } // namespace
 
 int
@@ -74,153 +97,65 @@ main()
     const uint32_t distance = *cfg.coupledRowDistance;
     const uint32_t pairs = benchutil::scaled(8, 4);
 
+    core::TrackerOptions unaware;
+    unaware.threshold = kThreshold;
+    core::TrackerOptions aware = unaware;
+    aware.coupledAware = true;
+    aware.coupledDistance = distance;
+
+    core::RowSwapOptions swap;
+    swap.threshold = kThreshold;
+    swap.spareBase = 40000;
+    core::RowSwapOptions awareSwap = swap;
+    awareSwap.coupledAware = true;
+    awareSwap.coupledDistance = distance;
+
+    // The split attack keeps each address just under the threshold;
+    // the swap attack trips the swap on A, then hammers B.
+    const uint64_t split = kThreshold - 100;
     std::vector<Scenario> results;
+    results.push_back({"split attack vs unaware tracker",
+                       std::make_unique<core::GrapheneMitigation>(
+                           cfg, unaware),
+                       split, split});
+    results.push_back({"split attack vs coupled-aware tracker",
+                       std::make_unique<core::GrapheneMitigation>(
+                           cfg, aware),
+                       split, split});
+    results.push_back({"swap-then-hammer-partner vs row swap",
+                       std::make_unique<core::RowSwapMitigation>(cfg,
+                                                                 swap),
+                       kThreshold, kThreshold});
+    results.push_back({"same attack vs coupled-aware row swap",
+                       std::make_unique<core::RowSwapMitigation>(
+                           cfg, awareSwap),
+                       kThreshold, kThreshold});
+    results.push_back({"straight attack vs victim refresh (unaware)",
+                       std::make_unique<core::GrapheneMitigation>(
+                           cfg, unaware),
+                       10 * kThreshold, 0});
+    results.push_back({"split attack vs DRFM (in-DRAM adjacency)",
+                       std::make_unique<core::DrfmMitigation>(
+                           cfg, kThreshold / 2),
+                       split, split});
+    results.push_back({"split attack vs RFM + in-DRAM tracker",
+                       std::make_unique<core::RfmMitigation>(
+                           cfg, kThreshold / 2, 16),
+                       split, split});
 
-    // --- Scenario 1: split attack vs coupled-unaware tracker. ---
-    {
+    for (auto &s : results) {
         dram::Chip chip(cfg);
         bender::Host host(chip);
-        core::TrackerOptions topts;
-        topts.threshold = kThreshold;
-        core::ProtectedMemory mem(host, topts);
-        Scenario s{"split attack vs unaware tracker"};
         for (uint32_t k = 0; k < pairs; ++k) {
             const dram::RowAddr aggr = 1000 + 8 * k;
             armVictims(host, aggr, distance);
-            mem.hammer(0, aggr, kThreshold - 100);
-            mem.hammer(0, aggr ^ distance, kThreshold - 100);
+            core::hammerThroughMitigation(host, *s.defense, 0, aggr,
+                                          s.aggrActs);
+            core::hammerThroughMitigation(host, *s.defense, 0,
+                                          aggr ^ distance, s.partnerActs);
             s.flips += countFlips(host, aggr, distance);
         }
-        s.mitigations = mem.tracker().mitigations();
-        results.push_back(s);
-    }
-
-    // --- Scenario 2: same attack vs coupled-aware tracker. ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::TrackerOptions topts;
-        topts.threshold = kThreshold;
-        topts.coupledAware = true;
-        topts.coupledDistance = distance;
-        core::ProtectedMemory mem(host, topts);
-        Scenario s{"split attack vs coupled-aware tracker"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            mem.hammer(0, aggr, kThreshold - 100);
-            mem.hammer(0, aggr ^ distance, kThreshold - 100);
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = mem.tracker().mitigations();
-        results.push_back(s);
-    }
-
-    // --- Scenario 3: row-swap defense, coupled-unaware. ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::RowSwapOptions ropts;
-        ropts.threshold = kThreshold;
-        ropts.spareBase = 40000;
-        core::RowSwapDefense defense(host, ropts);
-        Scenario s{"swap-then-hammer-partner vs row swap"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            defense.hammer(0, aggr, kThreshold);  // Triggers the swap.
-            defense.hammer(0, aggr ^ distance, kThreshold);
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = defense.swaps();
-        results.push_back(s);
-    }
-
-    // --- Scenario 4: row-swap defense, coupled-aware. ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::RowSwapOptions ropts;
-        ropts.threshold = kThreshold;
-        ropts.spareBase = 40000;
-        ropts.coupledAware = true;
-        ropts.coupledDistance = distance;
-        core::RowSwapDefense defense(host, ropts);
-        Scenario s{"same attack vs coupled-aware row swap"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            defense.hammer(0, aggr, kThreshold);
-            defense.hammer(0, aggr ^ distance, kThreshold);
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = defense.swaps();
-        results.push_back(s);
-    }
-
-    // --- Scenario 5: straight attack vs victim refresh (nuance). ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::TrackerOptions topts;
-        topts.threshold = kThreshold;
-        core::ProtectedMemory mem(host, topts);
-        Scenario s{"straight attack vs victim refresh (unaware)"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            mem.hammer(0, aggr, 10 * kThreshold);
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = mem.tracker().mitigations();
-        results.push_back(s);
-    }
-
-    // --- Scenario 6: split attack vs DRFM. ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::DrfmOptions dopts;
-        dopts.interval = kThreshold / 2;
-        core::DrfmController drfm(chip, dopts);
-        Scenario s{"split attack vs DRFM (in-DRAM adjacency)"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            for (const dram::RowAddr a : {aggr, aggr ^ distance}) {
-                for (int chunk = 0; chunk < 4; ++chunk) {
-                    host.hammer(0, a, (kThreshold - 100) / 4);
-                    drfm.onActivate(a, (kThreshold - 100) / 4,
-                                    host.now());
-                }
-            }
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = drfm.drfmCount();
-        results.push_back(s);
-    }
-
-    // --- Scenario 7: split attack vs RFM (in-DRAM tracking). ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::RfmEngine engine(chip, 0);
-        core::RfmController mc(engine, kThreshold / 2);
-        Scenario s{"split attack vs RFM + in-DRAM tracker"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            for (const dram::RowAddr a : {aggr, aggr ^ distance}) {
-                for (int chunk = 0; chunk < 4; ++chunk) {
-                    host.hammer(0, a, (kThreshold - 100) / 4);
-                    mc.onActivate(a, (kThreshold - 100) / 4,
-                                  host.now());
-                }
-            }
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = mc.rfmCount();
-        results.push_back(s);
+        s.mitigations = mitigationsIssued(*s.defense);
     }
 
     Table t({"Scenario", "Mitigations issued", "Victim bitflips",

@@ -11,9 +11,8 @@
 #include "bender/host.h"
 #include "core/patterns.h"
 #include "core/physmap.h"
-#include "core/protect/drfm.h"
+#include "core/protect/mitigation.h"
 #include "core/protect/scramble.h"
-#include "core/protect/tracker.h"
 #include "dram/chip.h"
 #include "util/table.h"
 
@@ -61,61 +60,45 @@ main()
     // ------------------------------------------------------------
     printBanner("Attack 1: coupled-row split hammering (SS VI-A)");
     {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::TrackerOptions topts;
-        topts.threshold = 6000;
-        core::ProtectedMemory mem(host, topts);
+        core::TrackerOptions unaware;
+        unaware.threshold = 6000;
+        core::TrackerOptions aware = unaware;
+        aware.coupledAware = true;
+        aware.coupledDistance = distance;
+        core::GrapheneMitigation unawareTracker(cfg, unaware);
+        core::GrapheneMitigation awareTracker(cfg, aware);
+        core::DrfmMitigation drfm(cfg, 3000);
 
-        const dram::RowAddr aggr = 2000;
-        armCoupledVictims(host, aggr, distance);
         // Keep each address just under the tracker threshold; the
         // shared wordline still sees ~12K activations.
-        mem.hammer(0, aggr, 5900);
-        mem.hammer(0, aggr ^ distance, 5900);
-        std::printf("coupled-unaware tracker: %lu mitigations, %zu "
-                    "victim bitflips -> attack %s\n",
-                    (unsigned long)mem.tracker().mitigations(),
-                    flipsAround(host, aggr, distance),
-                    flipsAround(host, aggr, distance) ? "SUCCEEDS"
-                                                      : "fails");
-    }
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::TrackerOptions topts;
-        topts.threshold = 6000;
-        topts.coupledAware = true;
-        topts.coupledDistance = distance;
-        core::ProtectedMemory mem(host, topts);
+        const dram::RowAddr aggr = 2000;
+        const auto attack = [&](core::Mitigation &defense) {
+            dram::Chip chip(cfg);
+            bender::Host host(chip);
+            armCoupledVictims(host, aggr, distance);
+            core::hammerThroughMitigation(host, defense, 0, aggr, 5900);
+            core::hammerThroughMitigation(host, defense, 0,
+                                          aggr ^ distance, 5900);
+            return flipsAround(host, aggr, distance);
+        };
+        const auto report = [](const char *label, uint64_t count,
+                               const char *what, size_t flips) {
+            std::printf("%s %lu %s, %zu victim bitflips -> attack %s\n",
+                        label, (unsigned long)count, what, flips,
+                        flips ? "SUCCEEDS" : "defeated");
+        };
 
-        const dram::RowAddr aggr = 2000;
-        armCoupledVictims(host, aggr, distance);
-        mem.hammer(0, aggr, 5900);
-        mem.hammer(0, aggr ^ distance, 5900);
-        std::printf("coupled-aware tracker:   %lu mitigations, %zu "
-                    "victim bitflips -> attack defeated\n",
-                    (unsigned long)mem.tracker().mitigations(),
-                    flipsAround(host, aggr, distance));
-    }
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::DrfmOptions dopts;
-        dopts.interval = 3000;
-        core::DrfmController drfm(chip, dopts);
-        const dram::RowAddr aggr = 2000;
-        armCoupledVictims(host, aggr, distance);
-        for (const dram::RowAddr a : {aggr, aggr ^ distance}) {
-            for (int chunk = 0; chunk < 4; ++chunk) {
-                host.hammer(0, a, 1475);
-                drfm.onActivate(a, 1475, host.now());
-            }
-        }
-        std::printf("DRFM every 3K ACTs:      %lu DRFM commands, %zu "
-                    "victim bitflips -> attack defeated\n",
-                    (unsigned long)drfm.drfmCount(),
-                    flipsAround(host, aggr, distance));
+        size_t flips = attack(unawareTracker);
+        report("coupled-unaware tracker:",
+               unawareTracker.tracker(0).mitigations(), "mitigations",
+               flips);
+        flips = attack(awareTracker);
+        report("coupled-aware tracker:  ",
+               awareTracker.tracker(0).mitigations(), "mitigations",
+               flips);
+        flips = attack(drfm);
+        report("DRFM every 3K ACTs:     ", drfm.fired(), "DRFM commands",
+               flips);
     }
 
     // ------------------------------------------------------------

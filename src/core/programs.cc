@@ -59,9 +59,15 @@ builtinPrograms(const dram::DeviceConfig &cfg)
                        Host::makeRowCopyProgram(cfg, b, row, dst)});
     catalog.push_back(
         {"refresh", "host", Host::makeRefreshProgram(cfg)});
-    catalog.push_back({"mitigate", "protect/tracker",
-                       ProtectedMemory::makeMitigationProgram(cfg, b,
-                                                              row)});
+    {
+        // Graphene's victim refresh: the MC's logical +-1 rows.
+        MitigationSequence graphene;
+        graphene.kind = MitigationKind::Graphene;
+        graphene.bank = b;
+        graphene.rows = victimRows(cfg, row, false);
+        catalog.push_back(
+            {"mitigate", "protect/tracker", graphene.program(cfg)});
+    }
     // One exemplar command sequence per scheduler-injectable
     // mitigation: the exact victim-refresh burst RFM fires on a
     // hottest-table hit, and the double row-activation a swap

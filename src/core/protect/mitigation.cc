@@ -9,6 +9,7 @@
 #include <cmath>
 #include <utility>
 
+#include "bender/host.h"
 #include "util/log.h"
 
 namespace dramscope {
@@ -61,9 +62,8 @@ mitigationFromString(const std::string &id)
 bender::Program
 MitigationSequence::program(const dram::DeviceConfig &cfg) const
 {
-    // One in-spec ACT..PRE cycle per row — the same shape as
-    // ProtectedMemory's victim-refresh program — then the extra
-    // blocking time (a swap's data-migration burst).
+    // One in-spec ACT..PRE cycle per row, then the extra blocking
+    // time (a swap's data-migration burst).
     bender::Program p;
     const auto &t = cfg.timing;
     for (const dram::RowAddr r : rows)
@@ -291,23 +291,23 @@ DrfmMitigation::onActivate(dram::BankId bank, dram::RowAddr row,
     BankState &st = banks_[bank];
     st.sampled = row;
     st.sinceLast += count;
-    if (st.sinceLast < interval_)
-        return;
-    st.sinceLast = 0;
-
-    MitigationSequence seq;
-    seq.kind = MitigationKind::Drfm;
-    seq.bank = bank;
-    seq.rows = victimRows(cfg_, *st.sampled, /*device_aware=*/true);
-    seq.neutralized = {*st.sampled};
-    if (cfg_.coupledRowDistance) {
-        const dram::RowAddr partner =
-            *st.sampled ^ *cfg_.coupledRowDistance;
-        if (partner != *st.sampled && partner < cfg_.rowsPerBank)
-            seq.neutralized.push_back(partner);
+    // Same rule as RFM's RAA counter: the overshoot carries over.
+    while (st.sinceLast >= interval_) {
+        st.sinceLast -= interval_;
+        MitigationSequence seq;
+        seq.kind = MitigationKind::Drfm;
+        seq.bank = bank;
+        seq.rows = victimRows(cfg_, *st.sampled, /*device_aware=*/true);
+        seq.neutralized = {*st.sampled};
+        if (cfg_.coupledRowDistance) {
+            const dram::RowAddr partner =
+                *st.sampled ^ *cfg_.coupledRowDistance;
+            if (partner != *st.sampled && partner < cfg_.rowsPerBank)
+                seq.neutralized.push_back(partner);
+        }
+        pending_.push_back(std::move(seq));
+        ++fired_;
     }
-    pending_.push_back(std::move(seq));
-    ++fired_;
 }
 
 std::vector<MitigationSequence>
@@ -471,6 +471,35 @@ makeMitigation(MitigationKind kind, const dram::DeviceConfig &cfg,
     return nullptr;
 }
 
+namespace {
+
+/** Runs @p seq where its defense's hardware does (see the header). */
+void
+execute(bender::Host &host, const MitigationSequence &seq)
+{
+    switch (seq.kind) {
+    case MitigationKind::Rfm:
+    case MitigationKind::Drfm:
+        // In-DRAM: the device resolves its own remap and coupled
+        // partner from the logical aggressor (SS VI-B).
+        host.device().refreshAggressorNeighbors(
+            seq.bank, seq.neutralized.front(), host.now());
+        return;
+    case MitigationKind::RowSwap: {
+        // The migration carries the data: source row -> spare.
+        const BitVec data = host.readRowBits(seq.bank, seq.rows[0]);
+        host.writeRowBits(seq.bank, seq.rows[1], data);
+        return;
+    }
+    case MitigationKind::None:
+    case MitigationKind::Graphene:
+        host.run(seq.program(host.config()));
+        return;
+    }
+}
+
+} // namespace
+
 void
 hammerThroughMitigation(bender::Host &host, Mitigation &mit,
                         dram::BankId bank, dram::RowAddr row,
@@ -489,7 +518,7 @@ hammerThroughMitigation(bender::Host &host, Mitigation &mit,
             if (handler)
                 handler(seq);
             else
-                host.run(seq.program(host.config()));
+                execute(host, seq);
         }
         remaining -= n;
     }

@@ -3,7 +3,7 @@
  * The unified mitigation interface (SS VI): every `core/protect`
  * defense expressed as one pluggable object the memory-controller
  * scheduler (mc::schedule) and the adversarial hammer path
- * (ProtectedMemory / RowSwapDefense) both drive.
+ * (hammerThroughMitigation) both drive.
  *
  * A Mitigation observes activations through onActivate(), observes
  * refresh-window boundaries through onRefreshWindow(), and answers
@@ -33,11 +33,14 @@
 
 #include "bender/lint.h"
 #include "bender/program.h"
-#include "core/protect/rowswap.h"
 #include "core/protect/tracker.h"
 #include "dram/config.h"
 
 namespace dramscope {
+namespace bender {
+class Host;
+} // namespace bender
+
 namespace core {
 
 /**
@@ -92,6 +95,27 @@ const char *mitigationId(MitigationKind kind);
 
 /** Parses a mitigation keyword; nullopt on an unknown one. */
 std::optional<MitigationKind> mitigationFromString(const std::string &id);
+
+/**
+ * Row-swap knobs.  On a coupled chip an unaware swap is neutralized
+ * (SS VI-A): only row A is relocated, while the attacker keeps
+ * driving the same physical wordline through row B = A ^ distance,
+ * whose address was never swapped.
+ */
+struct RowSwapOptions
+{
+    uint64_t threshold = 6000;
+
+    /** First spare row used for relocation targets. */
+    dram::RowAddr spareBase = 0;
+
+    /**
+     * When true, a swap relocates the coupled partner as well
+     * (requires the MC to know the coupled relation).
+     */
+    bool coupledAware = false;
+    uint32_t coupledDistance = 0;
+};
 
 /**
  * Knobs of every mitigation kind, bundled so one options struct can
@@ -221,10 +245,9 @@ class GrapheneMitigation : public Mitigation
 };
 
 /**
- * The in-DRAM aggressor tracker both RFM models share (RfmEngine's
- * device-backed path and RfmMitigation's scheduled path): a bounded
- * counter table with space-saving eviction — a full table replaces
- * its minimum entry and the newcomer inherits that floor.
+ * The in-DRAM aggressor tracker of RfmMitigation: a bounded counter
+ * table with space-saving eviction — a full table replaces its
+ * minimum entry and the newcomer inherits that floor.
  */
 class SpaceSavingTable
 {
@@ -281,7 +304,9 @@ class RfmMitigation : public Mitigation
 /**
  * Directed RFM: the DRAM samples the last activated row per bank;
  * every drfm_interval ACTs the sampled row's true neighbours are
- * refreshed (coupled partner included).
+ * refreshed (coupled partner included).  The ACT count carries its
+ * overshoot past each firing, so the cadence does not depend on how
+ * the caller batches activations.
  */
 class DrfmMitigation : public Mitigation
 {
@@ -389,10 +414,16 @@ using SequenceHandler = std::function<void(const MitigationSequence &)>;
  * Routes an adversarial bulk hammer through @p mit: chunked by
  * accountingChunk() so no trigger point is skipped, each chunk
  * hammered at the resolved physical row, accounted via onActivate(),
- * and every pending sequence executed — by running its program on
- * @p host, or through @p handler when provided (row swap substitutes
- * a real data migration).  This is the one shared implementation
- * behind ProtectedMemory::hammer and RowSwapDefense::hammer.
+ * and every pending sequence executed where its defense's hardware
+ * runs it, chosen by MitigationSequence::kind:
+ *  - graphene: the MC issues the ACT..PRE program on @p host;
+ *  - rfm / drfm: in-DRAM, via Device::refreshAggressorNeighbors on
+ *    the sequence's aggressor — the device translates its internal
+ *    remap and covers the coupled partner, which the MC's logical
+ *    +-1 rows cannot;
+ *  - rowswap: the data migration, source row read and written to
+ *    the spare.
+ * A @p handler, when given, replaces that execution (a test seam).
  */
 void hammerThroughMitigation(bender::Host &host, Mitigation &mit,
                              dram::BankId bank, dram::RowAddr row,

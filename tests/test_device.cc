@@ -11,12 +11,12 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bender/host.h"
-#include "core/protect/drfm.h"
-#include "core/protect/rfm.h"
+#include "core/protect/mitigation.h"
 #include "dram/chip.h"
 #include "dram/hbm_stack.h"
 #include "mapping/dimm.h"
@@ -131,26 +131,56 @@ TEST(DeviceDimm, ViolationsAggregateWithChipPrefix)
     EXPECT_EQ(log.back().what.rfind("chip15: ", 0), 0u);
 }
 
+/**
+ * Arms both neighbours of row 100 on a plain rank, hammers it
+ * @p acts times through mitigation @p kind (None: unprotected) and
+ * returns each chip's victim bitflips.  Chip c owns the c-th
+ * chip-sized slice of every bus row.
+ */
+std::vector<size_t>
+rankVictimFlips(core::MitigationKind kind, uint64_t acts)
+{
+    mapping::Dimm dimm(testutil::tinyPlain());
+    bender::Host host(dimm);
+    const dram::RowAddr aggr = 100;
+    for (const dram::RowAddr v : {aggr - 1, aggr + 1})
+        host.writeRowPattern(0, v, ~0ULL);
+    host.writeRowPattern(0, aggr, 0);
+    if (kind == core::MitigationKind::None) {
+        host.hammer(0, aggr, acts);
+    } else {
+        const auto mit = core::makeMitigation(kind, dimm.config(), {});
+        core::hammerThroughMitigation(host, *mit, 0, aggr, acts);
+        EXPECT_GT(mit->fired(), 0u);
+    }
+    const uint32_t chipBits = dimm.chipConfig().rowBits;
+    std::vector<size_t> flips(dimm.chipCount(), 0);
+    for (const dram::RowAddr v : {aggr - 1, aggr + 1}) {
+        const BitVec row = host.readRowBits(0, v);
+        for (size_t bit = 0; bit < row.size(); ++bit)
+            flips[bit / chipBits] += row.get(bit) ? 0 : 1;
+    }
+    return flips;
+}
+
 TEST(DeviceDimm, RfmMitigatesOnEveryChip)
 {
-    // One RFM restores the two physical neighbours of the hottest
-    // row *per chip*: 2 x 16 mitigative refreshes on a plain rank.
-    mapping::Dimm dimm(testutil::tinyPlain());
-    core::RfmEngine engine(dimm, 0);
-    engine.onActivate(100, 10000);
-    engine.onRfm(5000);
-    EXPECT_EQ(engine.mitigations(), 2u * dimm.chipCount());
+    // The in-DRAM refresh an RFM triggers runs on every chip of the
+    // rank: the attack flips victims on every chip unprotected, and
+    // on none of them through RFM.
+    const uint64_t acts = 300000;
+    for (const size_t f :
+         rankVictimFlips(core::MitigationKind::None, acts))
+        EXPECT_GT(f, 0u);
+    for (const size_t f : rankVictimFlips(core::MitigationKind::Rfm, acts))
+        EXPECT_EQ(f, 0u);
 }
 
 TEST(DeviceDimm, DrfmRunsRankWide)
 {
-    mapping::Dimm dimm(testutil::tinyPlain());
-    core::DrfmOptions opts;
-    opts.interval = 1000;
-    core::DrfmController drfm(dimm, opts);
-    drfm.onActivate(100, 1200, 4000);
-    drfm.onActivate(100, 1200, 8000);
-    EXPECT_EQ(drfm.drfmCount(), 2u);
+    for (const size_t f :
+         rankVictimFlips(core::MitigationKind::Drfm, 300000))
+        EXPECT_EQ(f, 0u);
 }
 
 TEST(DeviceHbm, ChannelsAreIndependentSiliconThroughDevice)

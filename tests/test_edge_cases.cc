@@ -9,7 +9,7 @@
 
 #include "bender/host.h"
 #include "core/protect/ecc.h"
-#include "core/protect/tracker.h"
+#include "core/protect/mitigation.h"
 #include "core/re_retention.h"
 #include "core/re_swizzle.h"
 #include "dram/hbm_stack.h"
@@ -98,15 +98,24 @@ TEST(EdgeCases, RowAddressBoundsAreEnforced)
 
 TEST(EdgeCases, MitigationAtBankEdgeSkipsMissingNeighbours)
 {
-    // Victim refresh of row 0 must not touch row -1.
+    // Victim refresh of the first and last rows must not touch a row
+    // outside the bank, whether the MC issues it (graphene) or the
+    // DRAM does (rfm, drfm).
     dram::DeviceConfig cfg = testutil::tinyPlain();
-    dram::Chip chip(cfg);
-    bender::Host host(chip);
-    core::TrackerOptions opts;
-    opts.threshold = 100;
-    core::ProtectedMemory mem(host, opts);
-    mem.hammer(0, 0, 500);  // Fires mitigations for row 0.
-    EXPECT_GT(mem.tracker().mitigations(), 0u);
+    core::MitigationOptions opts;
+    opts.graphene.threshold = 100;
+    opts.raaimt = 100;
+    opts.drfmInterval = 100;
+    for (const auto kind :
+         {core::MitigationKind::Graphene, core::MitigationKind::Rfm,
+          core::MitigationKind::Drfm}) {
+        dram::Chip chip(cfg);
+        bender::Host host(chip);
+        const auto mit = core::makeMitigation(kind, cfg, opts);
+        for (const RowAddr edge : {RowAddr(0), cfg.rowsPerBank - 1})
+            core::hammerThroughMitigation(host, *mit, 0, edge, 500);
+        EXPECT_EQ(mit->fired(), 10u) << core::mitigationId(kind);
+    }
     // Reaching here without a panic is the assertion.
 }
 

@@ -3,7 +3,8 @@
  * Unified-mitigation-interface tests: the DRAMSCOPE_MITIGATIONS
  * registry, the factory, per-kind firing/cadence/indirection
  * semantics, sequence-program cleanliness, and the shared
- * hammerThroughMitigation chunking path.
+ * hammerThroughMitigation path: chunking, and each kind's sequence
+ * run where its hardware runs it.
  */
 
 #include <gtest/gtest.h>
@@ -114,6 +115,36 @@ TEST(MitigationSequences, ProgramsAreInSpecAndCostMatches)
     EXPECT_EQ(seq.costPs(t), int64_t(seq.rows.size()) * cycle + 12345);
 }
 
+TEST(MitigationSequences, GrapheneProgramClampsAtTheBankEdges)
+{
+    // Victim refresh at row 0 has no row -1, and at the last row no
+    // row +1: the program holds exactly one ACT..PRE cycle.
+    const auto cfg = testutil::tinyPlain();
+    const auto program = [&](RowAddr row) {
+        MitigationSequence seq;
+        seq.kind = MitigationKind::Graphene;
+        seq.rows = core::victimRows(cfg, row, false);
+        return seq.program(cfg);
+    };
+    const auto countActs = [](const bender::Program &p) {
+        size_t acts = 0;
+        for (const auto &in : p.instrs())
+            acts += in.op == bender::Opcode::Act ? 1 : 0;
+        return acts;
+    };
+    const auto lo = program(0);
+    EXPECT_EQ(countActs(lo), 1u);
+    ASSERT_GE(lo.size(), 1u);
+    EXPECT_EQ(lo.instrs()[0].row, RowAddr(1));
+
+    const RowAddr last = cfg.rowsPerBank - 1;
+    const auto hi = program(last);
+    EXPECT_EQ(countActs(hi), 1u);
+    EXPECT_EQ(hi.instrs()[0].row, last - 1);
+
+    EXPECT_EQ(countActs(program(9)), 2u);
+}
+
 // ---------------------------------------------------------------------
 // Per-kind semantics.
 // ---------------------------------------------------------------------
@@ -201,6 +232,22 @@ TEST(DrfmMitigation, RefreshesTheSampledRowEveryInterval)
     EXPECT_EQ(mit->fired(), 1u);
 }
 
+TEST(DrfmMitigation, CadenceCarriesTheOvershoot)
+{
+    // 9000 ACTs at interval 3000 are three DRFMs however they are
+    // batched: the count past each firing carries over.
+    const auto cfg = testutil::tinyPlain();
+    MitigationOptions opts;
+    opts.drfmInterval = 3000;
+    const auto mit =
+        core::makeMitigation(MitigationKind::Drfm, cfg, opts);
+    mit->onActivate(0, 60, 7500);
+    EXPECT_EQ(mit->fired(), 2u);
+    mit->onActivate(0, 60, 1500);
+    EXPECT_EQ(mit->fired(), 3u);
+    EXPECT_EQ(mit->pendingCommands().size(), 3u);
+}
+
 TEST(RowSwapMitigation, IndirectionMovesTheHotRowPerBank)
 {
     const auto cfg = testutil::tinyPlain();
@@ -284,6 +331,64 @@ TEST(HammerThroughMitigation, DefaultHandlerRunsTheProgramOnTheHost)
 
     EXPECT_GT(flipsWith(MitigationKind::None), 0u);
     EXPECT_EQ(flipsWith(MitigationKind::Graphene), 0u);
+}
+
+TEST(HammerThroughMitigation, InDramRefreshReachesRemappedNeighbours)
+{
+    // On the remapped tiny chip, logical row 60's physical neighbours
+    // are logical rows 61 and 64: the MC's +-1 view misses row 64.
+    // RFM and DRFM refresh inside the DRAM, through its own remap, so
+    // both victims keep every bit; unprotected, the hammer flips them.
+    const auto cfg = dram::makeTinyConfig();
+    ASSERT_NE(cfg.rowRemap, dram::RowRemapScheme::None);
+    const RowAddr aggr = 60;
+    const std::vector<RowAddr> victims = {61, 64};
+
+    const auto flipsWith = [&](MitigationKind kind) {
+        dram::Chip chip(cfg);
+        bender::Host host(chip);
+        for (const RowAddr v : victims)
+            host.writeRowPattern(0, v, ~0ULL);
+        host.writeRowPattern(0, aggr, 0);
+        if (kind == MitigationKind::None) {
+            host.hammer(0, aggr, 200000);
+        } else {
+            const auto mit = core::makeMitigation(kind, cfg, {});
+            core::hammerThroughMitigation(host, *mit, 0, aggr, 200000);
+            EXPECT_GT(mit->fired(), 0u);
+        }
+        size_t flips = 0;
+        for (const RowAddr v : victims) {
+            const BitVec row = host.readRowBits(0, v);
+            flips += row.size() - row.popcount();
+        }
+        return flips;
+    };
+
+    EXPECT_GT(flipsWith(MitigationKind::None), 0u);
+    EXPECT_EQ(flipsWith(MitigationKind::Rfm), 0u);
+    EXPECT_EQ(flipsWith(MitigationKind::Drfm), 0u);
+}
+
+TEST(HammerThroughMitigation, RowSwapKeepsTheRowsData)
+{
+    // A swap migrates the row's data, so the data stays readable at
+    // the row's new physical home.
+    const auto cfg = testutil::tinyPlain();
+    dram::Chip chip(cfg);
+    bender::Host host(chip);
+    MitigationOptions opts;
+    opts.rowswap.threshold = 100;
+    const auto mit =
+        core::makeMitigation(MitigationKind::RowSwap, cfg, opts);
+
+    const RowAddr row = 5;
+    host.writeRowPattern(0, row, 0xA5A5A5A5A5A5A5A5ULL);
+    const BitVec written = host.readRowBits(0, row);
+    core::hammerThroughMitigation(host, *mit, 0, row, 100);
+    ASSERT_EQ(mit->fired(), 1u);
+    ASSERT_NE(mit->resolve(0, row), row);
+    EXPECT_EQ(host.readRowBits(0, mit->resolve(0, row)), written);
 }
 
 } // namespace

@@ -1,15 +1,14 @@
 /**
  * @file
- * Protection-mechanism tests: activation tracking vs coupled rows,
- * DRFM, and data scrambling (SS VI).
+ * Protection-mechanism tests: activation tracking and row swapping vs
+ * coupled rows, DRFM, and data scrambling (SS VI).  Every defense runs
+ * through core::hammerThroughMitigation.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/protect/drfm.h"
-#include "core/protect/rowswap.h"
+#include "core/protect/mitigation.h"
 #include "core/protect/scramble.h"
-#include "core/protect/tracker.h"
 #include "core/patterns.h"
 #include "dram/chip.h"
 #include "test_common.h"
@@ -152,32 +151,6 @@ TEST(Tracker, SpilledTiesNeverFireButTrackedTiesDo)
     EXPECT_FALSE(t.onActivate(20, 1).empty());
 }
 
-TEST(ProtectedMemory, MitigationProgramClampsAtTheBankEdges)
-{
-    // Victim refresh at row 0 has no row -1, and at the last row no
-    // row +1: the program holds exactly one ACT..PRE cycle.
-    const auto cfg = testutil::tinyPlain();
-    const auto countActs = [](const bender::Program &p) {
-        size_t acts = 0;
-        for (const auto &in : p.instrs())
-            acts += in.op == bender::Opcode::Act ? 1 : 0;
-        return acts;
-    };
-    const auto lo = core::ProtectedMemory::makeMitigationProgram(cfg, 0, 0);
-    EXPECT_EQ(countActs(lo), 1u);
-    ASSERT_GE(lo.size(), 1u);
-    EXPECT_EQ(lo.instrs()[0].row, RowAddr(1));
-
-    const RowAddr last = cfg.rowsPerBank - 1;
-    const auto hi =
-        core::ProtectedMemory::makeMitigationProgram(cfg, 0, last);
-    EXPECT_EQ(countActs(hi), 1u);
-    EXPECT_EQ(hi.instrs()[0].row, last - 1);
-
-    const auto mid = core::ProtectedMemory::makeMitigationProgram(cfg, 0, 9);
-    EXPECT_EQ(countActs(mid), 2u);
-}
-
 class CoupledAttackTest : public ::testing::Test
 {
   protected:
@@ -214,6 +187,27 @@ class CoupledAttackTest : public ::testing::Test
         host.writeRowPattern(0, aggr, 0);
         host.writeRowPattern(0, partner, 0);
     }
+
+    /**
+     * Hammers row A then its partner through @p defense over eight
+     * coupled pairs; returns the total victim bitflips.
+     */
+    static size_t
+    pairAttack(bender::Host &host, core::Mitigation &defense,
+               uint64_t acts)
+    {
+        // Eight coupled pairs in typical subarrays: enough victim
+        // cells for a just-over-threshold dose to flip the weakest.
+        size_t flips = 0;
+        for (RowAddr aggr = 52; aggr <= 92; aggr += 8) {
+            armVictims(host, aggr);
+            core::hammerThroughMitigation(host, defense, 0, aggr, acts);
+            core::hammerThroughMitigation(host, defense, 0, aggr ^ 512u,
+                                          acts);
+            flips += victimFlips(host, aggr);
+        }
+        return flips;
+    }
 };
 
 TEST_F(CoupledAttackTest, UnawareTrackerIsBypassedBySplitAttack)
@@ -222,21 +216,12 @@ TEST_F(CoupledAttackTest, UnawareTrackerIsBypassedBySplitAttack)
     bender::Host host(chip);
     TrackerOptions opts;
     opts.threshold = 6000;
-    core::ProtectedMemory mem(host, opts);
+    core::GrapheneMitigation tracker(chip.config(), opts);
 
-    // Eight coupled pairs in typical subarrays: enough victim cells
-    // for the just-over-threshold dose to flip the weakest of them.
-    size_t flips = 0;
-    for (RowAddr aggr = 52; aggr <= 92; aggr += 8) {
-        armVictims(host, aggr);
-        // Split the hammering across the coupled pair: each counter
-        // stays below threshold, but the shared wordline sees the
-        // full count.
-        mem.hammer(0, aggr, 5900);
-        mem.hammer(0, aggr ^ 512u, 5900);
-        flips += victimFlips(host, aggr);
-    }
-    EXPECT_EQ(mem.tracker().mitigations(), 0u);
+    // Split the hammering across the coupled pair: each counter stays
+    // below threshold, but the shared wordline sees the full count.
+    const size_t flips = pairAttack(host, tracker, 5900);
+    EXPECT_EQ(tracker.tracker(0).mitigations(), 0u);
     EXPECT_GT(flips, 0u);
 }
 
@@ -248,16 +233,10 @@ TEST_F(CoupledAttackTest, AwareTrackerStopsTheSplitAttack)
     opts.threshold = 6000;
     opts.coupledAware = true;
     opts.coupledDistance = 512;
-    core::ProtectedMemory mem(host, opts);
+    core::GrapheneMitigation tracker(chip.config(), opts);
 
-    size_t flips = 0;
-    for (RowAddr aggr = 52; aggr <= 92; aggr += 8) {
-        armVictims(host, aggr);
-        mem.hammer(0, aggr, 5900);
-        mem.hammer(0, aggr ^ 512u, 5900);
-        flips += victimFlips(host, aggr);
-    }
-    EXPECT_GT(mem.tracker().mitigations(), 0u);
+    const size_t flips = pairAttack(host, tracker, 5900);
+    EXPECT_GT(tracker.tracker(0).mitigations(), 0u);
     EXPECT_EQ(flips, 0u);
 }
 
@@ -270,17 +249,17 @@ TEST_F(CoupledAttackTest, VictimRefreshIncidentallyProtectsCoupledRows)
     bender::Host host(chip);
     TrackerOptions opts;
     opts.threshold = 6000;
-    core::ProtectedMemory mem(host, opts);  // Not coupled-aware.
+    core::GrapheneMitigation tracker(chip.config(), opts);  // Unaware.
 
     const RowAddr aggr = 60;
     armVictims(host, aggr);
-    mem.hammer(0, aggr, 100000);
+    core::hammerThroughMitigation(host, tracker, 0, aggr, 100000);
 
-    EXPECT_GT(mem.tracker().mitigations(), 0u);
+    EXPECT_GT(tracker.tracker(0).mitigations(), 0u);
     EXPECT_EQ(victimFlips(host, aggr), 0u);
 }
 
-TEST_F(CoupledAttackTest, RowSwapDefenseIsNeutralizedByCoupledRows)
+TEST_F(CoupledAttackTest, RowSwapIsNeutralizedByCoupledRows)
 {
     // SS VI-A: MC-side row swapping relocates only row A; the
     // attacker keeps driving the same physical wordline through the
@@ -290,16 +269,12 @@ TEST_F(CoupledAttackTest, RowSwapDefenseIsNeutralizedByCoupledRows)
     core::RowSwapOptions opts;
     opts.threshold = 6000;
     opts.spareBase = 400;  // Far from the attacked region.
-    core::RowSwapDefense defense(host, opts);
+    core::RowSwapMitigation swap(chip.config(), opts);
 
-    size_t flips = 0;
-    for (RowAddr aggr = 52; aggr <= 92; aggr += 8) {
-        armVictims(host, aggr);
-        defense.hammer(0, aggr, 6000);          // Triggers the swap.
-        defense.hammer(0, aggr ^ 512u, 6000);   // Same physical WL.
-        flips += victimFlips(host, aggr);
-    }
-    EXPECT_GT(defense.swaps(), 0u);
+    // Each pair's first hammer triggers the swap of A; the second
+    // drives the same physical wordline through B.
+    const size_t flips = pairAttack(host, swap, 6000);
+    EXPECT_GT(swap.swaps(), 0u);
     EXPECT_GT(flips, 0u);
 }
 
@@ -312,16 +287,10 @@ TEST_F(CoupledAttackTest, CoupledAwareRowSwapStopsTheAttack)
     opts.spareBase = 400;
     opts.coupledAware = true;
     opts.coupledDistance = 512;
-    core::RowSwapDefense defense(host, opts);
+    core::RowSwapMitigation swap(chip.config(), opts);
 
-    size_t flips = 0;
-    for (RowAddr aggr = 52; aggr <= 92; aggr += 8) {
-        armVictims(host, aggr);
-        defense.hammer(0, aggr, 6000);
-        defense.hammer(0, aggr ^ 512u, 6000);
-        flips += victimFlips(host, aggr);
-    }
-    EXPECT_GT(defense.swaps(), 0u);
+    const size_t flips = pairAttack(host, swap, 6000);
+    EXPECT_GT(swap.swaps(), 0u);
     EXPECT_EQ(flips, 0u);
 }
 
@@ -331,9 +300,7 @@ TEST(Drfm, ProtectsCoupledVictims)
     cfg.rowRemap = dram::RowRemapScheme::None;
     dram::Chip chip(cfg);
     bender::Host host(chip);
-    core::DrfmOptions opts;
-    opts.interval = 4000;
-    core::DrfmController drfm(chip, opts);
+    core::DrfmMitigation drfm(cfg, 4000);
 
     const RowAddr aggr = 20, partner = 532;
     for (const RowAddr v : {aggr - 1, aggr + 1, partner - 1, partner + 1})
@@ -341,11 +308,8 @@ TEST(Drfm, ProtectsCoupledVictims)
     host.writeRowPattern(0, aggr, 0);
     host.writeRowPattern(0, partner, 0);
 
-    for (int chunk = 0; chunk < 15; ++chunk) {
-        host.hammer(0, aggr, 2000);
-        drfm.onActivate(aggr, 2000, host.now());
-    }
-    EXPECT_GT(drfm.drfmCount(), 0u);
+    core::hammerThroughMitigation(host, drfm, 0, aggr, 30000);
+    EXPECT_EQ(drfm.fired(), 7u);  // floor(30000 / 4000).
 
     for (const RowAddr v :
          {aggr - 1, aggr + 1, partner - 1, partner + 1}) {

@@ -1,13 +1,14 @@
 /**
  * @file
- * RFM interface tests (SS VI-B): in-DRAM tracking plus MC-side RFM
- * cadence protect coupled rows without the MC knowing the relation.
+ * RFM tests (SS VI-B): the in-DRAM space-saving table plus the
+ * MC-side RAA cadence protect coupled rows without the MC knowing
+ * the relation.
  */
 
 #include <gtest/gtest.h>
 
 #include "bender/host.h"
-#include "core/protect/rfm.h"
+#include "core/protect/mitigation.h"
 #include "dram/chip.h"
 #include "test_common.h"
 
@@ -16,44 +17,49 @@ namespace {
 
 using dram::RowAddr;
 
-TEST(RfmEngine, TracksTheHottestRow)
+TEST(SpaceSavingTable, TracksTheHottestRow)
 {
-    dram::DeviceConfig cfg = testutil::tinyPlain();
-    dram::Chip chip(cfg);
-    core::RfmEngine engine(chip, 0, 4);
-    engine.onActivate(10, 100);
-    engine.onActivate(20, 500);
-    engine.onActivate(30, 50);
-    engine.onRfm(1000);
-    // The hottest row (20) got its neighbours refreshed: two rows.
-    EXPECT_EQ(engine.mitigations(), 2u);
+    core::SpaceSavingTable table(4);
+    EXPECT_FALSE(table.hottest().has_value());
+    table.account(10, 100);
+    table.account(20, 500);
+    table.account(30, 50);
+    EXPECT_EQ(table.hottest(), RowAddr(20));
+    // Decay halves the counter instead of resetting it.
+    table.decay(20);  // 250.
+    EXPECT_EQ(table.hottest(), RowAddr(20));
+    table.decay(20);
+    table.decay(20);  // 62.
+    EXPECT_EQ(table.hottest(), RowAddr(10));
 }
 
-TEST(RfmEngine, SpaceSavingInheritsTheFloor)
+TEST(SpaceSavingTable, InheritsTheFloor)
 {
-    dram::DeviceConfig cfg = testutil::tinyPlain();
-    dram::Chip chip(cfg);
-    core::RfmEngine engine(chip, 0, 2);
-    engine.onActivate(1, 100);
-    engine.onActivate(2, 200);
-    // Table full: row 3 evicts the minimum (row 1) and inherits 100.
-    engine.onActivate(3, 1);
-    engine.onRfm(1000);  // Row 2 is still the max.
-    EXPECT_EQ(engine.mitigations(), 2u);
+    core::SpaceSavingTable table(2);
+    table.account(1, 100);
+    table.account(2, 200);
+    // Table full: row 3 evicts the minimum (row 1) and inherits its
+    // 100, so it outranks row 2 once row 2 decays to 100.
+    table.account(3, 1);
+    EXPECT_EQ(table.hottest(), RowAddr(2));
+    table.decay(2);
+    EXPECT_EQ(table.hottest(), RowAddr(3));
+    // Row 1 was evicted: re-entering it evicts the new minimum (row
+    // 2 at 100) and starts from that floor, 102 > row 3's 101.
+    table.account(1, 2);
+    EXPECT_EQ(table.hottest(), RowAddr(1));
 }
 
-TEST(RfmController, IssuesAtTheRaaimtCadence)
+TEST(RfmMitigation, IssuesAtTheRaaimtCadence)
 {
-    dram::DeviceConfig cfg = testutil::tinyPlain();
-    dram::Chip chip(cfg);
-    core::RfmEngine engine(chip, 0);
-    core::RfmController mc(engine, 1000);
-    mc.onActivate(5, 999, 100);
-    EXPECT_EQ(mc.rfmCount(), 0u);
-    mc.onActivate(5, 1, 200);
-    EXPECT_EQ(mc.rfmCount(), 1u);
-    mc.onActivate(5, 3000, 300);
-    EXPECT_EQ(mc.rfmCount(), 4u);
+    core::RfmMitigation rfm(testutil::tinyPlain(), 1000, 16);
+    rfm.onActivate(0, 5, 999);
+    EXPECT_EQ(rfm.fired(), 0u);
+    rfm.onActivate(0, 5, 1);
+    EXPECT_EQ(rfm.fired(), 1u);
+    rfm.onActivate(0, 5, 3000);
+    EXPECT_EQ(rfm.fired(), 4u);
+    EXPECT_EQ(rfm.pendingCommands().size(), 4u);
 }
 
 TEST(Rfm, ProtectsAgainstTheCoupledSplitAttack)
@@ -64,8 +70,7 @@ TEST(Rfm, ProtectsAgainstTheCoupledSplitAttack)
     cfg.rowRemap = dram::RowRemapScheme::None;
     dram::Chip chip(cfg);
     bender::Host host(chip);
-    core::RfmEngine engine(chip, 0);
-    core::RfmController mc(engine, 2000);
+    core::RfmMitigation rfm(cfg, 2000, 16);
 
     const RowAddr aggr = 60, partner = 572;
     for (const RowAddr v : {aggr - 1, aggr + 1, partner - 1, partner + 1})
@@ -73,14 +78,12 @@ TEST(Rfm, ProtectsAgainstTheCoupledSplitAttack)
     host.writeRowPattern(0, aggr, 0);
     host.writeRowPattern(0, partner, 0);
 
-    // Split attack in chunks, mirrored to the MC hook.
+    // Split attack in rounds, each address under the RAA cadence.
     for (int round = 0; round < 6; ++round) {
-        for (const RowAddr a : {aggr, partner}) {
-            host.hammer(0, a, 1950);
-            mc.onActivate(a, 1950, host.now());
-        }
+        for (const RowAddr a : {aggr, partner})
+            core::hammerThroughMitigation(host, rfm, 0, a, 1950);
     }
-    EXPECT_GT(mc.rfmCount(), 0u);
+    EXPECT_GT(rfm.fired(), 0u);
     for (const RowAddr v :
          {aggr - 1, aggr + 1, partner - 1, partner + 1}) {
         const BitVec row = host.readRowBits(0, v);
